@@ -19,20 +19,43 @@ needs.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+import math
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.alphabet import BytesLike, MATCH_COLUMN, encode
+from repro.core.chunking import required_overlap
 from repro.core.dfa import DFA
 from repro.core.lockstep import match_text_lockstep
 from repro.core.match import MatchResult
 from repro.core.trie import ROOT
 
-#: Default chunk length for the vectorized serial matcher.  Large
-#: enough that per-chunk overhead is negligible, small enough that the
-#: lockstep matrix for a given text stays cache-resident.
+#: Largest chunk the vectorized serial matcher picks, and the fixed
+#: chunk of the modeled serial scans (:func:`serial_state_histogram`,
+#: the bench runner's CPU baseline).
 DEFAULT_SERIAL_CHUNK = 4096
+
+#: Fixed per-step dispatch cost of a lockstep scan, in lanes' worth of
+#: per-lane gather cost (``c0 / c1``, measured; docs/MODEL.md §11).
+STEP_COST_LANES = 512
+
+
+def serial_chunk_len(n: int, overlap: int) -> int:
+    """Owned bytes per lane for an *n*-byte serial scan.
+
+    A lockstep step costs a fixed dispatch ``c0`` plus ``c1`` per lane,
+    so a scan costs about ``(c + X)(c0 + c1·n/c)`` for chunk ``c`` and
+    overlap ``X`` — smallest near ``c = sqrt(n·X·c1/c0)``.  The chunk
+    is held to at least ``4(X+1)`` (overlap re-reads stay under a
+    quarter of the window), at most :data:`DEFAULT_SERIAL_CHUNK`, and
+    never past the text, so a 64 B request runs a ~60-step window
+    instead of a 4,107-step one.
+    """
+    unit = overlap + 1
+    ideal = math.isqrt(n * unit // STEP_COST_LANES)
+    chunk = min(max(ideal, 4 * unit), DEFAULT_SERIAL_CHUNK)
+    return max(min(chunk, n), 1)
 
 
 def match_serial_python(dfa: DFA, text: BytesLike) -> List[Tuple[int, int]]:
@@ -55,20 +78,27 @@ def match_serial_python(dfa: DFA, text: BytesLike) -> List[Tuple[int, int]]:
 
 
 def match_serial(
-    dfa: DFA, text: BytesLike, chunk_len: int = DEFAULT_SERIAL_CHUNK
+    dfa: DFA, text: BytesLike, chunk_len: Optional[int] = None
 ) -> MatchResult:
     """Production serial matcher (vectorized, exact).
 
     Semantically identical to :func:`match_serial_python`; implemented
     via chunked lockstep so a single CPU core processes megabytes per
-    second in pure NumPy.  The chunking is an implementation detail of
-    the *functional* scan — the serial *timing model* charges the run
-    as one sequential pass (no parallel credit).
+    second in pure NumPy.  Without ``chunk_len`` the chunk is sized to
+    the text (:func:`serial_chunk_len`); any chunk gives the same
+    matches.  The chunking is an implementation detail of the
+    *functional* scan — the serial *timing model* charges the run as
+    one sequential pass (no parallel credit).
     """
     data = encode(text, name="text")
     if data.size == 0:
         return MatchResult.empty()
-    return match_text_lockstep(dfa, data, chunk_len=chunk_len)
+    overlap = required_overlap(dfa.patterns.max_length)
+    if chunk_len is None:
+        chunk_len = serial_chunk_len(int(data.size), overlap)
+    return match_text_lockstep(
+        dfa, data, chunk_len=chunk_len, overlap=overlap
+    )
 
 
 #: Canonical name for the single-core scan: the multicore matcher

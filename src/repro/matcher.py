@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.alphabet import BytesLike
+from repro.core.alphabet import BytesLike, encode
 from repro.core.dfa import DFA
 from repro.core.match import MatchResult
 from repro.core.pattern_set import PatternSet
@@ -280,27 +280,37 @@ class Matcher:
             return result
         t0 = time.perf_counter() if self.metrics.enabled else 0.0
         with self.tracer.span("scan", backend=self.backend) as sp:
-            text = self._fold(text)
-            if self.backend == "gpu":
-                kr = self._run_gpu_kernel(text)
-                self._observe_kernel(kr)
-                result = kr.matches
-            elif self.backend == "double_array":
-                result = self._double_array.match(text)
-            elif self.backend == "serial_mt":
-                from repro.core.multicore import scan_multicore
-
-                result = scan_multicore(
-                    self._dfa,
-                    text,
-                    workers=self.workers,
-                    compact=self.compact,
-                ).matches
-            else:
-                result = match_serial(self._dfa, text)
+            data = encode(self._fold(text), name="text")
+            result = self._dispatch(data)
             sp.set(matches=len(result))
-        self._record_scan(result, len(text), t0)
+        self._record_scan(len(result), data.size, t0)
         return result
+
+    def _dispatch(self, data: np.ndarray) -> MatchResult:
+        """One pass of this matcher's backend over folded, encoded *data*.
+
+        The single per-backend fork, shared by :meth:`scan` and
+        :meth:`scan_many`.  Empty input matches nothing on every
+        backend (the bare GPU kernel rejects empty launches).
+        """
+        if data.size == 0:
+            return MatchResult.empty()
+        if self.backend == "gpu":
+            kr = self._run_gpu_kernel(data)
+            self._observe_kernel(kr)
+            return kr.matches
+        if self.backend == "double_array":
+            return self._double_array.match(data)
+        if self.backend == "serial_mt":
+            from repro.core.multicore import scan_multicore
+
+            return scan_multicore(
+                self._dfa,
+                data,
+                workers=self.workers,
+                compact=self.compact,
+            ).matches
+        return match_serial(self._dfa, data)
 
     def _gpu_device(self):
         """The persistent device for GPU scans, texture pre-bound.
@@ -364,9 +374,7 @@ class Matcher:
             "avg_conflict_degree", "last kernel's bank-conflict degree"
         ).set(result.counters.avg_conflict_degree)
 
-    def _record_scan(
-        self, result: MatchResult, n_bytes: int, t0: float
-    ) -> None:
+    def _record_scan(self, n_matches: int, n_bytes: int, t0: float) -> None:
         """Update the per-backend scan counters/histograms."""
         if not self.metrics.enabled:
             return
@@ -379,7 +387,7 @@ class Matcher:
         ).inc(n_bytes, backend=backend)
         self.metrics.counter(
             "scan_matches_total", "matches returned"
-        ).inc(len(result), backend=backend)
+        ).inc(n_matches, backend=backend)
         self.metrics.histogram(
             "scan_seconds", "wall-clock scan latency"
         ).observe(time.perf_counter() - t0, backend=backend)
@@ -418,7 +426,7 @@ class Matcher:
             result = self._run_gpu_kernel(text)
             sp.set(matches=len(result.matches))
         self._observe_kernel(result)
-        self._record_scan(result.matches, len(text), t0)
+        self._record_scan(len(result.matches), len(text), t0)
         return result
 
     def finditer(
@@ -465,10 +473,7 @@ class Matcher:
         not O(len(text)) — the "any signature present?" fast path an
         AV engine wants.
         """
-        folded = self._fold(text)
-        from repro.core.alphabet import encode
-
-        data = encode(folded, name="text")
+        data = encode(self._fold(text), name="text")
         stream = StreamMatcher(self._dfa)
         lengths = self._dfa.pattern_lengths
         max_len = int(self._dfa.patterns.max_length)
@@ -541,44 +546,31 @@ class Matcher:
     def scan_many(self, texts: Sequence[BytesLike]) -> List[MatchResult]:
         """Scan many independent texts; one result per text, in order.
 
-        The GPU backend concatenates the (folded) texts into a single
-        batch buffer, performs **one** device lifecycle — a single
-        checksummed copy and the matcher's persistent texture binding —
-        and one kernel pass, then splits the matches back per text with
-        seam filtering (:meth:`_split_by_offsets`), so an occurrence
-        spanning two adjacent texts in the buffer is never reported.
-        Results are byte-exact with ``[self.scan(t) for t in texts]``;
-        only the modeled cost differs.  CPU backends simply loop.
+        Every backend folds and encodes the texts, concatenates them
+        into one batch buffer and scans it in **one** pass — on the GPU
+        a single device lifecycle and kernel launch, on the CPU one
+        lockstep run whose chunks are sized to the whole batch — then
+        splits the matches back per text with seam filtering
+        (:meth:`_split_by_offsets`), so an occurrence spanning two
+        adjacent texts in the buffer is never reported.  Results are
+        byte-exact with ``[self.scan(t) for t in texts]``, and the batch
+        counts as one scan in the metrics (docs/MODEL.md §7).
         """
         texts = list(texts)
         if not texts:
             return []
+        t0 = time.perf_counter() if self.metrics.enabled else 0.0
         with self.tracer.span(
             "scan_many", backend=self.backend, n_texts=len(texts)
         ) as sp:
-            if self.backend != "gpu":
-                results = [self.scan(t) for t in texts]
-                sp.set(matches=sum(len(r) for r in results))
-                return results
-            from repro.core.alphabet import encode
-
-            t0 = time.perf_counter() if self.metrics.enabled else 0.0
-            arrays = [
-                encode(self._fold(t), name="text") for t in texts
-            ]
+            arrays = [encode(self._fold(t), name="text") for t in texts]
             offsets = np.zeros(len(arrays) + 1, dtype=np.int64)
             np.cumsum([a.size for a in arrays], out=offsets[1:])
-            total = int(offsets[-1])
-            if total == 0:
-                results = [MatchResult.empty() for _ in texts]
-                sp.set(matches=0)
-                return results
-            batch = np.concatenate([a for a in arrays if a.size])
-            kr = self._run_gpu_kernel(batch)
-            self._observe_kernel(kr)
-            results = self._split_by_offsets(kr.matches, offsets)
-            sp.set(matches=sum(len(r) for r in results))
-        self._record_scan(kr.matches, total, t0)
+            combined = self._dispatch(np.concatenate(arrays))
+            results = self._split_by_offsets(combined, offsets)
+            n_matches = sum(len(r) for r in results)
+            sp.set(matches=n_matches)
+        self._record_scan(n_matches, int(offsets[-1]), t0)
         return results
 
     def scan_packets(self, stream) -> dict:

@@ -16,7 +16,8 @@ arXiv:1811.10498).
 
 Semantics are sacred: every request's :class:`MatchResult` is
 byte-exact with the serial oracle run on that request alone.  Batching
-concatenates request texts into one kernel buffer, so the splitter
+concatenates request texts into one scan buffer on every backend
+(:meth:`~repro.matcher.Matcher.scan_many`), so the splitter
 drops any occurrence straddling a seam between two requests (it could
 not occur in either request scanned alone) — the differential harness
 (tests/serve/test_differential.py) pins this across every backend.

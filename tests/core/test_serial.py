@@ -2,9 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import PatternSet, DFA, match_serial, match_serial_python, naive_find_all
-from repro.core.serial import serial_state_histogram
+from repro.core.chunking import required_overlap
+from repro.core.serial import (
+    DEFAULT_SERIAL_CHUNK,
+    serial_chunk_len,
+    serial_state_histogram,
+)
 
 
 class TestPythonReference:
@@ -60,6 +66,82 @@ class TestVectorizedSerial:
         dfa = DFA.build(ps)
         text = random_text(rng, 20_000, alphabet=b"ab")
         assert match_serial(dfa, text).as_set() == set(naive_find_all(ps, text))
+
+
+class TestChunkGeometry:
+    def test_documented_sizes_at_snort_overlap(self):
+        # X = 11 is the tight overlap of the 20k synthetic Snort set.
+        assert serial_chunk_len(64, 11) == 48
+        assert serial_chunk_len(4096, 11) == 48
+        assert serial_chunk_len(4 << 20, 11) == 313
+
+    def test_never_past_the_text(self):
+        assert serial_chunk_len(0, 11) == 1
+        assert serial_chunk_len(1, 11) == 1
+        assert serial_chunk_len(30, 11) == 30
+
+    @pytest.mark.parametrize("overlap", [0, 1, 11, 100, 5000])
+    @pytest.mark.parametrize("n", [1, 64, 4096, 1 << 20, 1 << 30])
+    def test_within_bounds(self, n, overlap):
+        chunk = serial_chunk_len(n, overlap)
+        assert 1 <= chunk <= min(n, DEFAULT_SERIAL_CHUNK)
+        if n >= DEFAULT_SERIAL_CHUNK:
+            assert chunk >= min(4 * (overlap + 1), DEFAULT_SERIAL_CHUNK)
+
+
+#: Dictionary alphabet: NUL is the filler byte of padded windows.
+GEOMETRY_ALPHABET = b"\x00ab"
+
+
+@st.composite
+def geometry_case(draw):
+    """A dictionary (NUL bytes allowed) and a text whose length sits at
+    a breakpoint of :func:`serial_chunk_len`."""
+    patterns = draw(
+        st.lists(
+            st.binary(min_size=1, max_size=6).map(
+                lambda b: bytes(
+                    GEOMETRY_ALPHABET[c % len(GEOMETRY_ALPHABET)] for c in b
+                )
+            ),
+            min_size=1,
+            max_size=5,
+            unique=True,
+        )
+    )
+    x = required_overlap(max(len(p) for p in patterns))
+    unit = x + 1
+    # Past ~8192 (X+1) bytes the rule leaves its lower clamp.
+    big = draw(st.sampled_from([4096, 8192 * unit + 1, 40_000]))
+    chunk = serial_chunk_len(big, x)
+    k = big // chunk
+    n = draw(
+        st.sampled_from(
+            [0, 1, x, x + 1, 4 * unit - 1, 4 * unit, 4 * unit + 1]
+            + [k * chunk - 1, k * chunk, k * chunk + 1]
+        )
+    )
+    if n <= 4 * unit + 1 and draw(st.booleans()):
+        # A pattern longer than the text.
+        patterns = patterns + [b"a" * (n + 1)]
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    alphabet = np.frombuffer(GEOMETRY_ALPHABET, dtype=np.uint8)
+    text = rng.choice(alphabet, size=n).tobytes()
+    return patterns, text
+
+
+class TestAutoGeometryProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(case=geometry_case())
+    def test_auto_geometry_equals_reference_and_fixed_chunk(self, case):
+        patterns, text = case
+        dfa = DFA.build(PatternSet.from_bytes(patterns))
+        auto = match_serial(dfa, text)
+        assert auto.as_pairs() == match_serial_python(dfa, text)
+        assert auto == match_serial(
+            dfa, text, chunk_len=DEFAULT_SERIAL_CHUNK
+        )
 
 
 class TestStateHistogram:

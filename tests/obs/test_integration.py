@@ -40,6 +40,21 @@ class TestMetricsReconcile:
         assert hist.count(backend=backend) == 1
         assert hist.sum(backend=backend) > 0
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_scan_many_is_one_observation_per_batch(self, backend):
+        metrics = Metrics()
+        m = Matcher(PAPER, backend=backend, metrics=metrics)
+        texts = [TEXT, "", "ushers", "x"]
+        results = m.scan_many(texts)
+        assert metrics.counter("scans_total").value(backend=backend) == 1
+        assert metrics.counter("scan_bytes_total").value(
+            backend=backend
+        ) == sum(len(t) for t in texts)
+        assert metrics.counter("scan_matches_total").value(
+            backend=backend
+        ) == sum(len(r) for r in results)
+        assert metrics.histogram("scan_seconds").count(backend=backend) == 1
+
     def test_totals_accumulate_across_scans(self):
         metrics = Metrics()
         m = Matcher(PAPER, backend="serial", metrics=metrics)

@@ -22,7 +22,7 @@ from repro.kernels import (
     run_pfac_kernel,
     run_shared_kernel,
 )
-from repro.matcher import Matcher
+from repro.matcher import BACKENDS, Matcher
 from repro.serve import ScanScheduler
 
 ALPHABET = b"abcd"
@@ -78,6 +78,27 @@ class TestSchedulerDifferential:
         assert sched.scan_many(patterns, texts) == expected
 
     @settings(max_examples=25, deadline=None)
+    @given(
+        patterns=patterns_strategy,
+        sizes=st.lists(
+            st.sampled_from([0, 1, 3, 64, 594, 1518]), min_size=1, max_size=9
+        ),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        max_batch=st.integers(min_value=1, max_value=9),
+    )
+    def test_scheduler_serial_mixed_size_bursts(
+        self, patterns, sizes, seed, max_batch
+    ):
+        """Bursts mixing empty, tiny and packet-sized requests batch
+        into one serial pass each, byte-exact with the oracle."""
+        rng = np.random.default_rng(seed)
+        alphabet = np.frombuffer(ALPHABET, dtype=np.uint8)
+        texts = [rng.choice(alphabet, size=n).tobytes() for n in sizes]
+        expected = oracle_results(patterns, texts)
+        sched = ScanScheduler(backend="serial", max_batch=max_batch)
+        assert sched.scan_many(patterns, texts) == expected
+
+    @settings(max_examples=25, deadline=None)
     @given(patterns=patterns_strategy, texts=texts_strategy)
     def test_scheduler_case_insensitive_matches_oracle(
         self, patterns, texts
@@ -120,15 +141,50 @@ class TestBackendDifferential:
             assert run_global_kernel(dfa, text).matches == expected
             assert run_pfac_kernel(dfa, text).matches == expected
 
-    @settings(max_examples=40, deadline=None)
-    @given(patterns=patterns_strategy, texts=texts_strategy)
-    def test_scan_many_equals_scan_loop(self, patterns, texts):
-        """The batched GPU path is byte-exact with the per-text loop."""
-        gpu = Matcher(patterns, backend="gpu")
-        serial = Matcher(patterns)
-        batched = gpu.scan_many(texts)
-        looped = [serial.scan(t) for t in texts]
-        assert batched == looped
+    @settings(max_examples=25, deadline=None)
+    @given(
+        patterns=patterns_strategy,
+        texts=texts_strategy,
+        case_insensitive=st.booleans(),
+    )
+    def test_scan_many_equals_scan_loop(
+        self, patterns, texts, case_insensitive
+    ):
+        """Every backend's one-pass batch is byte-exact with its own
+        per-text loop and with the serial oracle."""
+        if case_insensitive:
+            texts = [t.upper() for t in texts]
+        expected = oracle_results(patterns, texts, case_insensitive)
+        for backend in BACKENDS:
+            m = Matcher(
+                patterns, backend=backend, case_insensitive=case_insensitive
+            )
+            batched = m.scan_many(texts)
+            assert batched == [m.scan(t) for t in texts], backend
+            assert batched == expected, backend
+
+
+#: Degenerate batches: empty and 1-byte texts, texts shorter than the
+#: longest pattern, and occurrences that would straddle a seam.
+DEGENERATE_PATTERNS = [b"abcd", b"da", b"a"]
+DEGENERATE_BATCHES = [
+    [b""],
+    [b"", b""],
+    [b"a"],
+    [b"", b"a", b"", b"d", b"a"],
+    [b"ab", b"cd"],
+    [b"abc", b"d", b"abcd"],
+    [b"xd", b"ax", b"abcdabcd", b"", b"abc"],
+]
+
+
+class TestScanManyDegenerate:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("texts", DEGENERATE_BATCHES)
+    def test_batch_equals_loop(self, backend, texts):
+        m = Matcher(DEGENERATE_PATTERNS, backend=backend)
+        expected = oracle_results(DEGENERATE_PATTERNS, texts)
+        assert m.scan_many(texts) == [m.scan(t) for t in texts] == expected
 
 
 class TestSeams:

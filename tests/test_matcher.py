@@ -56,6 +56,14 @@ class TestScanning:
             PAPER
         ).findall("she sells hers usher his")
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("empty", ["", b"", bytearray()])
+    def test_empty_text_matches_nothing(self, backend, empty):
+        m = Matcher(PAPER, backend=backend)
+        assert len(m.scan(empty)) == 0
+        assert m.findall(empty) == []
+        assert m.count(empty) == 0
+
     def test_serial_mt_workers_thread_through(self):
         # Long enough to split into real slabs at every worker count.
         text = "she sells hers usher his " * 200
