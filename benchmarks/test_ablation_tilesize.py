@@ -18,8 +18,8 @@ import pytest
 
 from repro.core import plan_chunks
 from repro.core.alphabet import STATE_DTYPE
-from repro.core.chunking import build_windows, required_overlap
-from repro.core.lockstep import LockstepTrace, extract_matches
+from repro.core.chunking import build_windows, ownership_mask, required_overlap
+from repro.core.match import MatchResult
 from repro.core.tiled import scan_tiled
 
 TILE_LENS = [32, 256, 1024]
@@ -125,10 +125,23 @@ def _pre_pr_engine(dfa, data, plan):
     positions = (
         plan.starts[None, :] + np.arange(window_len, dtype=np.int64)[:, None]
     )
-    trace = LockstepTrace(
-        states_after=states_after, valid=positions < plan.n, plan=plan
+    valid = positions < plan.n
+    # Extraction over the full trace, as the replaced engine did it.
+    flags = dfa.stt.match_flags
+    hit_mask = (flags[states_after] != 0) & valid
+    j_idx, t_idx = np.nonzero(hit_mask)
+    if j_idx.size == 0:
+        return MatchResult.empty()
+    ends = plan.starts[t_idx] + j_idx
+    states = states_after[j_idx, t_idx].astype(np.int64, copy=False)
+    offs = dfa.out_offsets
+    counts = offs[states + 1] - offs[states]
+    exp_ends, exp_pids = dfa.gather_matches(ends, states)
+    exp_threads = np.repeat(t_idx, counts)
+    own = ownership_mask(
+        plan, exp_threads, exp_ends, dfa.pattern_lengths[exp_pids]
     )
-    return extract_matches(dfa, trace)[0]
+    return MatchResult(exp_ends[own], exp_pids[own])
 
 
 def test_tiled_throughput_vs_pre_pr_engine(runner):

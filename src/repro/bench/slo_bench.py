@@ -25,8 +25,7 @@ alert may fire, and the run *asserts* the fire → clear sequence (plus
 the innocence of every other tenant) before reporting anything — a
 failed gate raises :class:`~repro.errors.ExperimentError`.
 
-Payload generation fans out over ``workers`` threads
-(:class:`~repro.core.multicore.MultiCoreMatcher`-style), each draw
+Payload generation fans out over a pool of ``workers`` threads, each draw
 seeded by ``(seed, tenant, window)`` so completion order cannot change
 a byte of the workload.
 

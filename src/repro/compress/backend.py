@@ -16,8 +16,8 @@ backend    representation                              per-fetch cost
                                                        + fetch)
 ========== =========================================== ==================
 
-``dense`` and ``compact`` keep their existing fast paths inside
-:class:`~repro.core.tiled.GatherKernel`; ``banded`` and ``bitmap`` are
+``dense`` and ``compact`` step through the column-major fused tables
+of :class:`~repro.core.tiled.GatherKernel`; ``banded`` and ``bitmap`` are
 wrapped in *gather adapters* exposing the same
 ``alloc(n)`` / ``step_into(state, symbols, out_row)`` protocol, which
 the kernel dispatches to by duck typing.  Every backend is

@@ -25,17 +25,15 @@ from repro.core.integrity import (
     verify_row_checksums,
 )
 from repro.core.jit import jit_enabled, jit_requested, jit_status, numba_available
-from repro.core.lockstep import match_text_lockstep
 from repro.core.match import Match, MatchResult
 from repro.core.multicore import (
-    MultiCoreMatcher,
     MultiCoreScanResult,
     MulticoreMeasurement,
     measure_multicore,
     scan_multicore,
 )
 from repro.core.pattern_set import PatternSet, PatternStats
-from repro.core.serial import match_serial, match_serial_python, scan_serial
+from repro.core.serial import match_serial, match_serial_python
 from repro.core.serialization import (
     LoadedDFA,
     load_dfa,
@@ -91,15 +89,12 @@ __all__ = [
     "jit_requested",
     "jit_status",
     "numba_available",
-    "match_text_lockstep",
     "Match",
     "MatchResult",
     "PatternSet",
     "PatternStats",
     "match_serial",
     "match_serial_python",
-    "scan_serial",
-    "MultiCoreMatcher",
     "MultiCoreScanResult",
     "MulticoreMeasurement",
     "measure_multicore",

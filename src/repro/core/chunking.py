@@ -157,12 +157,17 @@ def ownership_mask(
     -------
     Boolean mask: True where the match starts inside the thread's owned
     chunk *and* ends inside the real input (excludes zero-padding).
+
+    Lane 0 has no lower bound on match starts.  A lane 0 that starts at
+    the root cannot see a match starting before byte 0, so this changes
+    nothing there; a lane 0 seeded with a carried stream state owns
+    exactly the matches that straddle the seam into this input.
     """
     starts_of_match = ends - pattern_lengths_by_match + 1
     chunk_start = plan.starts[thread_ids]
     chunk_end = plan.owned_ends[thread_ids]
     return (
-        (starts_of_match >= chunk_start)
+        ((starts_of_match >= chunk_start) | (thread_ids == 0))
         & (starts_of_match < chunk_end)
         & (ends < plan.n)
     )

@@ -60,7 +60,6 @@ class DFA:
         "patterns",
         "_compact",
         "_backends",
-        "_flat_small",
         "_fused_dense",
         "_digest",
         # Weak-referenceable so cache-eviction tests (and diagnostics)
@@ -83,7 +82,6 @@ class DFA:
         self.patterns = patterns
         self._compact = None
         self._backends = {}
-        self._flat_small = None
         self._fused_dense = {}
         self._digest = None
 
@@ -187,25 +185,6 @@ class DFA:
             table = build_gather_table(self, name)
             self._backends[name] = table
         return table
-
-    def dense_flat_small(self) -> np.ndarray:
-        """Narrow flat view of the dense STT, built once and cached.
-
-        Every table entry is a state id (``< n_states``) or a 0/1
-        match flag, so machines under 2**16 states fit the whole table
-        in uint16 — the tiled gather stages through it to halve table
-        traffic.  Larger machines get the plain int32 flat view; the
-        gathered *values* are identical either way.
-        """
-        if self._flat_small is None:
-            table = self.stt.table
-            if self.n_states <= 0xFFFF:
-                small = np.ascontiguousarray(table, dtype=np.uint16).reshape(-1)
-                small.setflags(write=False)
-                self._flat_small = small
-            else:
-                self._flat_small = table.reshape(-1)
-        return self._flat_small
 
     def dense_fused_tables(self, dtype) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Column-major fused gather tables for the dense STT, cached.

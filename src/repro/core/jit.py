@@ -1,9 +1,8 @@
 """Optional numba-compiled host fast path, behind ``REPRO_JIT=1``.
 
-The tiled engine's hot loops (:meth:`repro.core.tiled.GatherKernel.step`
-and its fused column-major twin
-:meth:`~repro.core.tiled.GatherKernel.step_fused`),
-the bitmap backend's popcount-rank failure-chain walk
+The tiled engine's hot loop (the fused column-major gather
+:meth:`repro.core.tiled.GatherKernel.step_fused`, which large stream
+feeds run too), the bitmap backend's popcount-rank failure-chain walk
 (:meth:`repro.compress.bitmap.BitmapDeltaSTT.walk_next_states`), and the
 streaming matcher's small-feed scalar walk
 (:meth:`repro.core.streaming.StreamMatcher._feed_small`) are the
@@ -85,6 +84,8 @@ def _build_kernels() -> Optional[dict]:
     try:
         import numba
 
+        # Row-major gathers: no production scan runs these; the pinned
+        # pre-fusion engine (benchmarks/_legacy_tiled.py) does.
         @numba.njit(nogil=True, cache=False)
         def gather_step_dense(flat, ncols, state, symbols, out_row):
             for i in range(state.size):

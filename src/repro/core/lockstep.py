@@ -1,31 +1,24 @@
-"""Vectorized lockstep execution of the AC DFA over many chunks.
+"""Full state traces of a lockstep DFA run.
 
 On the GPU, every thread of a warp executes the same instruction on its
-own chunk (SIMD/SIMT, paper Section III).  This module reproduces that
-execution shape in NumPy: all threads advance one input byte per step,
-so the functional simulation is a loop over *steps* whose body is a
-single fancy-indexing gather — O(total bytes) work with NumPy-level
-constant factors instead of per-byte Python.
-
-The lockstep run yields both the *matches* (functional result) and the
-*trace* the GPU substrate needs to price the run: which STT rows were
-fetched at each step (texture traffic) and which chunk bytes were read
-(shared/global traffic).  Keeping functional execution and timing in
-one pass means the performance model is driven by the run's real
-access pattern, not by synthetic assumptions.
+own chunk (SIMD/SIMT, paper Section III); :mod:`repro.core.tiled` runs
+that execution shape in NumPy, all threads advancing one input byte per
+step, and turns the hits into owned matches.  Most consumers fold what
+they need into per-tile sinks.  This module holds the explicit opt-in
+for the few that need the *whole* trace — which STT rows were fetched
+at each step (texture traffic) and which chunk bytes were read
+(shared/global traffic): :class:`TraceRecorder` is a tile sink that
+assembles a :class:`LockstepTrace`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.core.alphabet import STATE_DTYPE
-from repro.core.chunking import ChunkPlan, ownership_mask
-from repro.core.dfa import DFA
-from repro.core.match import MatchResult
+from repro.core.chunking import ChunkPlan
 from repro.core.trie import ROOT
 
 
@@ -86,53 +79,6 @@ class LockstepTrace:
         return int(self.valid.sum())
 
 
-def run_dfa_lockstep(
-    dfa: DFA,
-    windows: np.ndarray,
-    plan: ChunkPlan,
-    *,
-    table=None,
-) -> LockstepTrace:
-    """Advance every chunk through the DFA one byte per step.
-
-    Thin adapter over the tiled engine's δ-gather: the full trace is
-    still materialized (this is the trace-retaining API; large scans
-    should use :func:`repro.core.tiled.scan_tiled` instead), but the
-    per-step gather runs through preallocated buffers in one dtype —
-    no per-step temporaries, no int32→int64 ``astype`` round trip.
-
-    Parameters
-    ----------
-    dfa:
-        The automaton (dense STT).
-    windows:
-        Step-major ``(window_len, n_threads)`` uint8 byte matrix from
-        :func:`repro.core.chunking.build_windows`.
-    plan:
-        Chunk geometry (for validity masking).
-    table:
-        Optional :class:`~repro.core.compact.CompactSTT` to gather
-        through instead of the dense STT (exactly equivalent).
-
-    Returns
-    -------
-    LockstepTrace
-    """
-    from repro.core.tiled import GatherKernel
-
-    window_len, n_threads = windows.shape
-    gather = GatherKernel(dfa, table)
-    gather.alloc(n_threads)
-    states_after = np.empty((window_len, n_threads), dtype=STATE_DTYPE)
-    state = np.zeros(n_threads, dtype=np.int64)
-    for j in range(window_len):
-        gather.step(state, windows[j], states_after[j])
-
-    positions = plan.starts[None, :] + np.arange(window_len, dtype=np.int64)[:, None]
-    valid = positions < plan.n
-    return LockstepTrace(states_after=states_after, valid=valid, plan=plan)
-
-
 class TraceRecorder:
     """Tile sink that rebuilds a full :class:`LockstepTrace`.
 
@@ -163,70 +109,3 @@ class TraceRecorder:
         return LockstepTrace(
             states_after=self.states_after, valid=self.valid, plan=self.plan
         )
-
-
-def extract_matches(dfa: DFA, trace: LockstepTrace) -> Tuple[MatchResult, int]:
-    """Turn a lockstep trace into the owned match set.
-
-    Applies the paper's overlap-ownership rule: a thread reports only
-    matches that *start* inside its own chunk, which deduplicates the
-    overlap region and (provably; see ``tests/core/test_chunking.py``)
-    reconstructs the exact serial match set.
-
-    Returns
-    -------
-    (matches, raw_hits):
-        ``matches`` — the deduplicated, owned :class:`MatchResult`;
-        ``raw_hits`` — number of (position, state) hits before
-        ownership filtering (a kernel-side work metric: each raw hit is
-        an output-buffer write in the CUDA kernel).
-    """
-    plan = trace.plan
-    flags = dfa.stt.match_flags  # (n_states,)
-    hit_mask = (flags[trace.states_after] != 0) & trace.valid
-    j_idx, t_idx = np.nonzero(hit_mask)
-    raw_hits = int(j_idx.size)
-    if raw_hits == 0:
-        return MatchResult.empty(), 0
-
-    ends = plan.starts[t_idx] + j_idx
-    states = trace.states_after[j_idx, t_idx].astype(np.int64, copy=False)
-
-    # CSR expansion: one row per emitted pattern occurrence.
-    offs = dfa.out_offsets
-    counts = offs[states + 1] - offs[states]
-    exp_ends, exp_pids = dfa.gather_matches(ends, states)
-    exp_threads = np.repeat(t_idx, counts)
-
-    own = ownership_mask(
-        plan, exp_threads, exp_ends, dfa.pattern_lengths[exp_pids]
-    )
-    return MatchResult(exp_ends[own], exp_pids[own]), raw_hits
-
-
-def match_text_lockstep(
-    dfa: DFA,
-    data: np.ndarray,
-    chunk_len: int,
-    overlap: Optional[int] = None,
-    *,
-    tile_len: Optional[int] = None,
-    compact: bool = True,
-) -> MatchResult:
-    """Convenience: plan chunks, scan tiled, extract — one call.
-
-    Streams through the tiled engine (peak memory O(n_threads × tile),
-    not O(input)); *overlap* defaults to the tight value (longest
-    pattern − 1) and ``compact`` gathers through the alphabet-compacted
-    table (exactly equivalent, faster).
-    """
-    from repro.core.tiled import DEFAULT_TILE_LEN, scan_tiled
-
-    return scan_tiled(
-        dfa,
-        data,
-        chunk_len=chunk_len,
-        overlap=overlap,
-        tile_len=tile_len if tile_len is not None else DEFAULT_TILE_LEN,
-        compact=compact,
-    ).matches

@@ -187,57 +187,6 @@ def scan_multicore(
     )
 
 
-class MultiCoreMatcher:
-    """Reusable multicore matcher over a fixed dictionary.
-
-    Thin stateful wrapper around :func:`scan_multicore` that pins the
-    worker count and engine knobs once; the compacted transition table
-    is built lazily on the first scan and shared (read-only) by every
-    worker thread thereafter.
-
-    Examples
-    --------
-    >>> from repro.core import DFA, PatternSet
-    >>> m = MultiCoreMatcher(DFA.build(PatternSet.from_strings(["hers"])), workers=2)
-    >>> m.scan(b"ushershers").as_pairs()
-    [(5, 0), (9, 0)]
-    """
-
-    __slots__ = ("dfa", "workers", "chunk_len", "tile_len", "compact")
-
-    def __init__(
-        self,
-        dfa: DFA,
-        *,
-        workers: int = 0,
-        chunk_len: int = DEFAULT_MC_CHUNK,
-        tile_len: int = DEFAULT_TILE_LEN,
-        compact: bool = True,
-    ):
-        if workers < 0:
-            raise ChunkingError(f"workers must be >= 0, got {workers}")
-        self.dfa = dfa
-        self.workers = workers or _auto_workers()
-        self.chunk_len = chunk_len
-        self.tile_len = tile_len
-        self.compact = compact
-
-    def scan(self, data: BytesLike) -> MatchResult:
-        """Scan *data*; returns the match set only."""
-        return self.scan_result(data).matches
-
-    def scan_result(self, data: BytesLike) -> MultiCoreScanResult:
-        """Scan *data*; returns matches plus per-worker statistics."""
-        return scan_multicore(
-            self.dfa,
-            data,
-            workers=self.workers,
-            chunk_len=self.chunk_len,
-            tile_len=self.tile_len,
-            compact=self.compact,
-        )
-
-
 @dataclass(frozen=True)
 class MulticoreMeasurement:
     """Wall-clock comparison of the multicore scan vs the serial scan."""

@@ -6,7 +6,8 @@ Two implementations of phase 2 on one core:
   Python loop, one δ lookup per byte.  This is the semantic reference
   (slow; intended for tests and small inputs).
 * :func:`match_serial` — a production serial matcher that runs the
-  same DFA through the vectorized lockstep engine with chunk overlap.
+  same DFA through the tiled lockstep engine
+  (:func:`repro.core.tiled.scan_tiled`) with chunk overlap.
   Its match set is bit-identical to the Python loop (tested), while
   running at NumPy speed so the test/bench harness can process
   megabytes.
@@ -27,8 +28,8 @@ import numpy as np
 from repro.core.alphabet import BytesLike, MATCH_COLUMN, encode
 from repro.core.chunking import required_overlap
 from repro.core.dfa import DFA
-from repro.core.lockstep import match_text_lockstep
 from repro.core.match import MatchResult
+from repro.core.tiled import StateVisitHistogram, scan_tiled
 from repro.core.trie import ROOT
 
 #: Largest chunk the vectorized serial matcher picks, and the fixed
@@ -96,16 +97,7 @@ def match_serial(
     overlap = required_overlap(dfa.patterns.max_length)
     if chunk_len is None:
         chunk_len = serial_chunk_len(int(data.size), overlap)
-    return match_text_lockstep(
-        dfa, data, chunk_len=chunk_len, overlap=overlap
-    )
-
-
-#: Canonical name for the single-core scan: the multicore matcher
-#: (:func:`repro.core.multicore.scan_multicore`) is differential-tested
-#: byte-identical against this, and docs/tests refer to the pair as
-#: ``scan_serial`` vs ``scan_multicore``.
-scan_serial = match_serial
+    return scan_tiled(dfa, data, chunk_len=chunk_len, overlap=overlap).matches
 
 
 def serial_state_histogram(
@@ -119,8 +111,6 @@ def serial_state_histogram(
     restarts at the root, perturbing at most ``overlap`` fetches per
     chunk).
     """
-    from repro.core.tiled import StateVisitHistogram, scan_tiled
-
     data = encode(text, name="text")
     if data.size == 0:
         return np.zeros(dfa.n_states, dtype=np.int64)

@@ -8,12 +8,12 @@ receive matches with global positions, with occurrences spanning feed
 boundaries found exactly once (property-tested against a whole-input
 scan).
 
-Large feeds run through the chunk-parallel tiled engine with the
-carried DFA state seeded into the first lane (matches straddling the
-carry boundary belong to that lane unconditionally); small feeds walk
-the state sequence in a tight scalar loop but extract matches
-vectorized.  Either way, per-feed overhead stays proportional to the
-feed.
+Large feeds run through the tiled engine
+(:func:`repro.core.tiled.scan_tiled`) with chunks sized to the feed and
+the carried DFA state seeded into lane 0 (which therefore owns the
+matches straddling the carry boundary); small feeds walk the state
+sequence in a tight scalar loop but extract matches vectorized.  Either
+way, per-feed overhead stays proportional to the feed.
 """
 
 from __future__ import annotations
@@ -23,15 +23,15 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.core.alphabet import BytesLike, encode
+from repro.core.chunking import required_overlap
 from repro.core.dfa import DFA
 from repro.core.match import MatchResult
+from repro.core.serial import serial_chunk_len
+from repro.core.tiled import scan_tiled
 from repro.core.trie import ROOT
 
 #: Feeds at least this large go through the chunk-parallel tiled path.
 VECTOR_THRESHOLD = 1024
-
-#: Chunk length for the parallel path (lockstep lanes per feed).
-PARALLEL_CHUNK = 4096
 
 
 class StreamMatcher:
@@ -139,59 +139,25 @@ class StreamMatcher:
         return pairs
 
     def _feed_parallel(self, arr: np.ndarray) -> List[Tuple[int, int]]:
-        """Large-feed path: chunk-parallel tiled scan with a state seam.
+        """Large-feed path: one tiled scan with the carried state in lane 0.
 
-        The carried DFA state is seeded into lane 0 (all other lanes
-        start at the root as usual), so a match straddling the feed
-        boundary completes inside lane 0's window — its start predates
-        this feed, which is why lane 0's ownership has no lower bound.
-        The carry-out state is recomputed with a short scalar walk over
-        the feed's tail: the stream state is the longest input suffix
-        that is a trie node, and that suffix is shorter than the
-        longest pattern, so walking the last ``max_length`` bytes from
-        the root reproduces it exactly.
+        Lane 0 starts from the carried DFA state (all other lanes start
+        at the root as usual), so a match straddling the feed boundary
+        completes inside lane 0's window and lane 0 owns it
+        (:func:`~repro.core.chunking.ownership_mask`).  The carry-out
+        state is recomputed with a short scalar walk over the feed's
+        tail: the stream state is the longest input suffix that is a
+        trie node, and that suffix is shorter than the longest pattern,
+        so walking the last ``max_length`` bytes from the root
+        reproduces it exactly.
         """
-        from repro.core.chunking import plan_chunks, required_overlap
-        from repro.core.tiled import iter_dfa_tiles
-
         dfa = self.dfa
         n = int(arr.size)
-        base = self._position
         max_len = int(dfa.patterns.max_length)
-        plan = plan_chunks(n, PARALLEL_CHUNK, required_overlap(max_len))
-        init = np.zeros(plan.n_chunks, dtype=np.int64)
-        init[0] = self._state
-
-        flags = dfa.stt.match_flags
-        offs = dfa.out_offsets
-        lengths = dfa.pattern_lengths
-        ends_parts: List[np.ndarray] = []
-        pids_parts: List[np.ndarray] = []
-        for tile in iter_dfa_tiles(
-            dfa, arr, plan, table=dfa.compact_stt(), init_states=init
-        ):
-            hit = (flags[tile.states_after] != 0) & tile.valid
-            j_idx, t_idx = np.nonzero(hit)
-            if j_idx.size == 0:
-                continue
-            ends = plan.starts[t_idx] + j_idx + tile.j0
-            states = tile.states_after[j_idx, t_idx].astype(np.int64)
-            exp_ends, exp_pids = dfa.gather_matches(ends, states)
-            counts = offs[states + 1] - offs[states]
-            exp_threads = np.repeat(t_idx, counts)
-            # Ownership: start inside the lane's owned chunk, except
-            # lane 0, which also owns starts predating the feed.
-            starts_of_match = exp_ends - lengths[exp_pids] + 1
-            own = (
-                (
-                    (starts_of_match >= plan.starts[exp_threads])
-                    | (exp_threads == 0)
-                )
-                & (starts_of_match < plan.owned_ends[exp_threads])
-                & (exp_ends < n)
-            )
-            ends_parts.append(exp_ends[own])
-            pids_parts.append(exp_pids[own])
+        chunk_len = serial_chunk_len(n, required_overlap(max_len))
+        found = scan_tiled(
+            dfa, arr, chunk_len=chunk_len, carry_in=self._state
+        ).matches
 
         # Carry-out: walk the tail scalar (≤ max_len steps).
         t = dfa.stt.next_states
@@ -205,11 +171,8 @@ class StreamMatcher:
             state = int(t[state, byte])
         self._state = state
 
-        if not ends_parts:
-            return []
-        all_ends = np.concatenate(ends_parts) + base
-        all_pids = np.concatenate(pids_parts)
-        return sorted(zip(all_ends.tolist(), all_pids.tolist()))
+        ends = found.ends + self._position
+        return sorted(zip(ends.tolist(), found.pattern_ids.tolist()))
 
 
 def scan_stream(dfa: DFA, feeds) -> MatchResult:

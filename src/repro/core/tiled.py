@@ -10,19 +10,23 @@ scan in fixed-size *step tiles*: per tile it advances every thread
 tile, then discards the tile's state.  Peak memory is
 O(n_threads × tile_len) regardless of input size.
 
-Three properties keep the tiled run byte-identical to the monolithic
-engine (property-tested in ``tests/core/test_tiled.py``):
+Three properties keep the tiled run byte-identical to a step-by-step
+lockstep run over :func:`~repro.core.chunking.build_windows`
+(property-tested against a test-local oracle in
+``tests/core/test_tiled.py``):
 
-* **window reconstruction** — tile window rows are gathered straight
-  from the input with clipped positions and the out-of-range suffix
-  zeroed, reproducing ``build_windows``'s zero padding without ever
-  copying the input;
+* **window reconstruction** — tile window rows are copied straight
+  from the input with the out-of-range suffix zeroed, reproducing
+  ``build_windows``'s zero padding without ever copying the input;
 * **step-axis-only tiling** — tiles split the *step* axis, so the
   (step × half-warp) row grouping every modeled counter is defined
   over is preserved and all row-wise statistics are additive;
 * **ordered extraction** — ``np.nonzero`` is row-major and tiles
-  partition rows in order, so concatenated per-tile matches reproduce
-  the monolithic extraction order exactly.
+  partition rows in order, so concatenated per-tile matches come out
+  in the order one extraction over the whole trace would give.
+
+:func:`scan_tiled` is the only CPU code that turns lockstep hits into
+owned matches: serial, multicore slab and stream scans all run it.
 
 The hot path is fully vectorized at tile granularity over a
 *column-major* fused transition table: the per-step δ-gather is
@@ -31,14 +35,14 @@ one table take — with the target state's match flag gathered through
 the **same** staged index, so match testing costs one extra take per
 step instead of a separate per-tile pass.  Window bytes for a tile are
 one transpose copy of a strided view into the input (zero position
-arithmetic for the uniform chunk plans ``plan_chunks`` emits),
+arithmetic; plans carry the one uniform stride ``plan_chunks`` emits),
 validity is never materialized on the match path (it is an analytic
 prefix, one ``searchsorted`` per scan), and every tile-sized scratch
 buffer is checked out of a thread-local pool that persists across
 ``scan_tiled`` calls.  When the DFA has fewer than 2**16 states the
 state buffers *and* the fused table are staged in uint16, halving the
-gather working set; all of it is byte-identical to the reference
-engine (values, not storage width, are what every consumer compares).
+gather working set; values, not storage width, are what every
+consumer compares.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from typing import Iterator, Optional, Sequence, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from repro.core.alphabet import STATE_DTYPE, STT_COLUMNS
+from repro.core.alphabet import STATE_DTYPE
 from repro.core.chunking import ChunkPlan, ownership_mask, plan_chunks, required_overlap
 from repro.core.compact import CompactSTT
 from repro.core.dfa import DFA
@@ -123,15 +127,13 @@ def clear_tile_buffer_pool() -> None:
 
 
 class GatherKernel:
-    """Zero-allocation δ-gather over a flat transition table.
+    """Zero-allocation δ-gather over the column-major fused table.
 
-    One fused flat-index gather per step — ``flat[state * ncols + col]``
-    — through preallocated int64 index buffers, so the hot loop
-    allocates nothing.  For DFAs under :data:`U16_STATE_LIMIT` states
-    the flat table is the cached uint16 downcast
-    (:meth:`repro.core.dfa.DFA.dense_flat_small` /
-    :meth:`repro.core.compact.CompactSTT.flat_small`), halving table
-    traffic without changing a single gathered value.
+    Every step is :meth:`step_fused`: ``col_flat[cls_lut[byte] +
+    state]`` through a preallocated int64 index buffer, so the hot
+    loop allocates nothing.  For DFAs under :data:`U16_STATE_LIMIT`
+    states the fused table and the state rows are uint16, halving
+    table traffic without changing a single gathered value.
 
     Under ``REPRO_JIT=1`` (and with numba importable) the step runs a
     compiled ``nogil`` loop from :mod:`repro.core.jit` instead — same
@@ -140,25 +142,19 @@ class GatherKernel:
 
     ``table`` may also be a gather *adapter* (an object exposing
     ``alloc(n)`` / ``step_into(state, symbols, out_row)`` — see
-    :mod:`repro.compress.backend`); the step then delegates to it,
+    :mod:`repro.compress.backend`); :meth:`step` then delegates to it,
     which is how the banded and bitmap compressed backends plug in
     without this module importing them.
     """
 
     __slots__ = (
-        "flat",
-        "ncols",
-        "class_of",
         "adapter",
         "row_dtype",
         "col_flat",
         "cls_lut",
         "flag_flat",
         "_src",
-        "_ncols_i64",
-        "_idx",
         "_sym",
-        "_res",
         "_jit",
     )
 
@@ -166,50 +162,19 @@ class GatherKernel:
         from repro.core.jit import jit_kernels
 
         self._jit = jit_kernels()
-        self.adapter = None
+        self.adapter = table if hasattr(table, "step_into") else None
         self._src = (dfa, table)
         self.col_flat = None
         self.cls_lut = None
         self.flag_flat = None
-        small = dfa.n_states < U16_STATE_LIMIT
-        if table is None:
-            # Dense path: flat row-major view of the full 257-column
-            # table; symbols < 256 never index the match column.
-            self.flat = (
-                dfa.dense_flat_small() if small else dfa.stt.table.reshape(-1)
-            )
-            self.ncols = STT_COLUMNS
-            self.class_of = None
-        elif hasattr(table, "step_into"):
-            self.adapter = table
-            self.flat = None
-            self.ncols = 0
-            self.class_of = None
-        else:
-            self.flat = table.flat_small() if small else table.flat
-            self.ncols = table.n_classes
-            self.class_of = table.class_of
-        self.row_dtype = (
-            self.flat.dtype
-            if self.flat is not None
-            else (np.dtype(np.uint16) if small else np.dtype(STATE_DTYPE))
-        )
-        # int64 scalar: forces the flat-index arithmetic to promote to
-        # int64 even when the state rows are uint16 (a bare python int
-        # would let NumPy compute — and overflow — in uint16).
-        self._ncols_i64 = np.int64(self.ncols)
-        self._idx = None
+        self.row_dtype = tile_state_dtype(dfa)
         self._sym = None
-        self._res = None
 
     def alloc(self, n_threads: int) -> None:
         """Size the per-step scratch buffers for *n_threads* lanes."""
         if self.adapter is not None:
             self.adapter.alloc(n_threads)
             return
-        self._idx = np.empty(n_threads, dtype=np.int64)
-        self._res = np.empty(n_threads, dtype=self.flat.dtype)
-        # The fused column-major step always stages its index in _sym.
         self._sym = np.empty(n_threads, dtype=np.int64)
 
     def ensure_fused(self) -> bool:
@@ -240,33 +205,12 @@ class GatherKernel:
     def step(
         self, state: np.ndarray, symbols: np.ndarray, out_row: np.ndarray
     ) -> None:
-        """Advance ``state`` (int64, in place) by one symbol row.
+        """Adapter step: advance ``state`` (int64, in place) by one row.
 
-        ``out_row`` receives the post-step states (any integer dtype
-        wide enough for the state ids).
+        ``out_row`` receives the post-step states.  Only gather
+        adapters step this way; fused tables use :meth:`step_fused`.
         """
-        if self.adapter is not None:
-            self.adapter.step_into(state, symbols, out_row)
-            return
-        if self._jit is not None:
-            if self.class_of is None:
-                self._jit["gather_step_dense"](
-                    self.flat, self.ncols, state, symbols, out_row
-                )
-            else:
-                self._jit["gather_step_compact"](
-                    self.flat, self.ncols, self.class_of, state, symbols, out_row
-                )
-            return
-        np.multiply(state, self._ncols_i64, out=self._idx)
-        if self.class_of is None:
-            np.add(self._idx, symbols, out=self._idx)
-        else:
-            np.take(self.class_of, symbols, out=self._sym)
-            np.add(self._idx, self._sym, out=self._idx)
-        np.take(self.flat, self._idx, out=self._res)
-        np.copyto(state, self._res)
-        out_row[...] = self._res
+        self.adapter.step_into(state, symbols, out_row)
 
     def step_fused(
         self,
@@ -284,8 +228,8 @@ class GatherKernel:
         tile state buffer afterwards); ``out_row`` must have the fused
         table's dtype so the gather lands without a cast.  When
         ``hit_row`` (bool) is given, the target states' match flags are
-        gathered through the *same* staged index — the per-tile flag
-        pass of the row-major engine becomes one extra take per step.
+        gathered through the *same* staged index, one extra take per
+        step instead of a separate per-tile flag pass.
 
         Requires a prior :meth:`ensure_fused`; under ``REPRO_JIT=1``
         the whole row runs as one compiled ``nogil`` loop.
@@ -372,7 +316,7 @@ def iter_dfa_tiles(
     *,
     tile_len: int = DEFAULT_TILE_LEN,
     table: Optional[CompactSTT] = None,
-    init_states: Optional[np.ndarray] = None,
+    carry_in: int = ROOT,
     want_windows: bool = False,
     want_fetched: bool = False,
     want_hits: bool = False,
@@ -380,14 +324,13 @@ def iter_dfa_tiles(
 ) -> Iterator[TileView]:
     """Advance every chunk through the DFA, yielding one tile at a time.
 
-    Window rows are gathered from *data* on the fly — for the uniform
-    chunk strides :func:`repro.core.chunking.plan_chunks` produces,
-    each tile is one transpose copy of a strided view into the input
-    (**zero** position arithmetic); irregular plans fall back to one
-    clipped 2-D take per tile — so nothing proportional to the input
-    is ever copied.  ``init_states`` seeds the per-thread carry-in
-    state (default: all ROOT) — the streaming matcher uses it to
-    thread its inter-feed state through lane 0.  ``want_hits``
+    Window rows are gathered from *data* on the fly — *plan* must have
+    the uniform chunk stride :func:`repro.core.chunking.plan_chunks`
+    produces, so each tile is one transpose copy of a strided view into
+    the input (**zero** position arithmetic) and nothing proportional
+    to the input is ever copied.  ``carry_in`` seeds lane 0's state
+    (every other lane starts at the root) — the streaming matcher uses
+    it to thread its inter-feed state into the scan.  ``want_hits``
     requests per-cell match flags, gathered inside the fused step;
     ``want_valid=False`` skips materializing the validity mask for
     consumers (like :func:`scan_tiled`) that filter analytically.
@@ -406,22 +349,16 @@ def iter_dfa_tiles(
     wl = plan.window_len
     starts = plan.starts
     diffs = np.diff(starts)
-    if np.any(diffs < 0):
-        raise ChunkingError("plan.starts must be non-decreasing")
+    if diffs.size and not (diffs[0] > 0 and np.all(diffs == diffs[0])):
+        raise ChunkingError("plan.starts must have one positive stride")
     remaining = n - starts  # descending; thread t is valid while j < remaining[t]
-    uniform = nt < 2 or bool(np.all(diffs == diffs[0]))
     stride = int(diffs[0]) if nt > 1 else 0
 
     gather = GatherKernel(dfa, table)
     gather.alloc(nt)
     use_fused = gather.ensure_fused()
     state = np.zeros(nt, dtype=np.int64)
-    if init_states is not None:
-        if init_states.shape != (nt,):
-            raise ChunkingError(
-                f"init_states must have shape ({nt},); got {init_states.shape}"
-            )
-        state[:] = init_states
+    state[0] = carry_in
 
     flag_lut = None
     if want_hits and not use_fused:
@@ -432,19 +369,14 @@ def iter_dfa_tiles(
     tile_len = min(tile_len, wl)
     row_dtype = gather.row_dtype
     states_arena, states_buf = _pool_take("tile_states", (tile_len, nt), row_dtype)
-    if uniform:
-        # Column-major window buffer: the strided-view window build
-        # below then copies thread-by-thread with both sides contiguous
-        # (a memcpy per thread column) instead of a true byte transpose
-        # — ~65× faster at paper tile shapes.  Step rows come out
-        # strided, which the take-based gather absorbs for ~1µs/step.
-        win_arena, win_cols = _pool_take("tile_windows", (nt, tile_len), np.uint8)
-        win_buf = win_cols.T
-    else:
-        win_arena, win_buf = _pool_take("tile_windows", (tile_len, nt), np.uint8)
-    # Irregular plans zero the padded window tail through the mask, so
-    # they need the buffer even when the caller skipped validity.
-    if want_valid or not uniform:
+    # Column-major window buffer: the strided-view window build below
+    # then copies thread-by-thread with both sides contiguous (a memcpy
+    # per thread column) instead of a true byte transpose — ~65× faster
+    # at paper tile shapes.  Step rows come out strided, which the
+    # take-based gather absorbs for ~1µs/step.
+    win_arena, win_cols = _pool_take("tile_windows", (nt, tile_len), np.uint8)
+    win_buf = win_cols.T
+    if want_valid:
         valid_arena, valid_buf = _pool_take("tile_valid", (tile_len, nt), np.bool_)
     else:
         valid_arena = valid_buf = None
@@ -459,7 +391,6 @@ def iter_dfa_tiles(
     else:
         fetch_arena = fetch_buf = None
     steps = np.arange(wl, dtype=np.int64)
-    clip = max(n - 1, 0)
 
     try:
         for j0 in range(0, wl, tile_len):
@@ -471,39 +402,22 @@ def iter_dfa_tiles(
             hb = hit_buf[:ts] if hit_buf is not None else None
             if vb is not None:
                 np.less(steps[j0:j1, None], remaining[None, :], out=vb)
-            if uniform:
-                # Strided window build: threads whose whole tile window
-                # is in-bounds form a prefix (starts ascend), and that
-                # prefix is filled with one transpose copy of a strided
-                # view into the input — no position arithmetic, no
-                # clip, no mask.  The few tail threads get an explicit
-                # copy + zero fill, reproducing build_windows' padding.
-                tb = int(np.searchsorted(starts, n - j1, side="right"))
-                if tb:
-                    off = int(starts[0]) + j0
-                    src = as_strided(
-                        data[off:], shape=(tb, ts), strides=(stride, 1)
-                    )
-                    wt[:, :tb] = src.T
-                for t in range(tb, nt):
-                    base = int(starts[t]) + j0
-                    avail = min(max(n - base, 0), ts)
-                    wt[:avail, t] = data[base : base + avail]
-                    wt[avail:, t] = 0
-            elif n:
-                # Irregular plan: clipped 2-D gather through a pooled
-                # int64 position arena, then the invalid tail (threads
-                # whose window has run past the input) is zeroed
-                # through the valid mask — exactly build_windows'
-                # zero padding.
-                pos_arena, pos = _pool_take("tile_i64", (ts, nt), np.int64)
-                np.add(starts[None, :], steps[j0:j1, None], out=pos)
-                np.minimum(pos, clip, out=pos)
-                np.take(data, pos, out=wt)
-                _pool_give("tile_i64", pos_arena)
-                np.multiply(wt, vb, out=wt)
-            else:
-                wt[...] = 0
+            # Strided window build: threads whose whole tile window is
+            # in-bounds form a prefix (starts ascend), and that prefix
+            # is filled with one transpose copy of a strided view into
+            # the input — no position arithmetic, no clip, no mask.
+            # The few tail threads get an explicit copy + zero fill,
+            # reproducing build_windows' padding.
+            tb = int(np.searchsorted(starts, n - j1, side="right"))
+            if tb:
+                off = int(starts[0]) + j0
+                src = as_strided(data[off:], shape=(tb, ts), strides=(stride, 1))
+                wt[:, :tb] = src.T
+            for t in range(tb, nt):
+                base = int(starts[t]) + j0
+                avail = min(max(n - base, 0), ts)
+                wt[:avail, t] = data[base : base + avail]
+                wt[avail:, t] = 0
             if want_fetched:
                 fetch_buf[0] = state  # carry-in: the rows *read* at step j0
             if use_fused:
@@ -535,7 +449,7 @@ def iter_dfa_tiles(
                 j0=j0,
                 j1=j1,
                 states_after=sb,
-                valid=vb if want_valid else None,
+                valid=vb,
                 windows=wt if want_windows else None,
                 fetched=fetch_buf[:ts] if want_fetched else None,
                 plan=plan,
@@ -574,6 +488,7 @@ def scan_tiled(
     compact: bool = True,
     table: Optional[CompactSTT] = None,
     stt_backend: Optional[str] = None,
+    carry_in: int = ROOT,
     sinks: Sequence = (),
 ) -> TiledScanResult:
     """Full tiled scan: plan, tile, extract matches, feed sinks.
@@ -583,6 +498,12 @@ def scan_tiled(
     input is retained.  ``sinks`` are objects with an ``on_tile(tile)``
     method; a sink class sets ``needs_windows`` / ``needs_fetched``
     to request those tile fields.
+
+    ``carry_in`` seeds lane 0 with a DFA state carried from earlier
+    input (the streaming seam); lane 0 then also owns the matches that
+    started before ``data[0]``
+    (:func:`~repro.core.chunking.ownership_mask`).  Every other caller
+    starts at the root.
 
     ``compact=True`` (default) gathers through the DFA's cached
     alphabet-compacted table — exactly equivalent and markedly faster
@@ -626,6 +547,7 @@ def scan_tiled(
         plan,
         tile_len=tile_len,
         table=table,
+        carry_in=carry_in,
         want_windows=want_windows,
         want_fetched=want_fetched,
         want_hits=True,

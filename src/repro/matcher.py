@@ -41,6 +41,20 @@ from repro.obs import NULL_METRICS, NULL_TRACER
 BACKENDS = ("serial", "serial_mt", "gpu", "double_array")
 
 
+class _FoldedStream(StreamMatcher):
+    """A stream whose feeds go through its matcher's case fold first."""
+
+    __slots__ = ("_fold",)
+
+    def __init__(self, dfa: DFA, fold):
+        super().__init__(dfa)
+        self._fold = fold
+
+    def feed(self, data: BytesLike) -> List[Tuple[int, int]]:
+        """Fold *data* like :meth:`Matcher.scan` does, then feed it."""
+        return super().feed(self._fold(data))
+
+
 class Matcher:
     """Multi-pattern matcher over a fixed dictionary.
 
@@ -606,7 +620,9 @@ class Matcher:
         return out
 
     def stream(self) -> StreamMatcher:
-        """A fresh incremental matcher sharing this dictionary."""
+        """A fresh incremental matcher sharing this dictionary and case fold."""
+        if self.case_insensitive:
+            return _FoldedStream(self._dfa, self._fold)
         return StreamMatcher(self._dfa)
 
     def highlight(

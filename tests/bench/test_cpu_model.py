@@ -4,17 +4,14 @@ import numpy as np
 import pytest
 
 from repro.bench.cpu_model import CpuConfig, serial_cost_from_trace
-from repro.core import encode, plan_chunks
-from repro.core.chunking import build_windows
-from repro.core.lockstep import run_dfa_lockstep
 from repro.errors import ExperimentError
+
+from tests.conftest import lockstep_oracle
 
 
 def trace_for(dfa, text: bytes):
-    data = encode(text)
-    plan = plan_chunks(data.size, 4096, dfa.patterns.max_length - 1)
-    windows = build_windows(data, plan)
-    return run_dfa_lockstep(dfa, windows, plan), windows
+    _, windows, trace = lockstep_oracle(dfa, text, 4096)
+    return trace, windows
 
 
 class TestSerialCost:

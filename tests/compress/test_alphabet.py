@@ -1,85 +1,89 @@
-"""Tests for alphabet-class compression."""
+"""Alphabet-class compression: the ``compact`` backend's byte classes.
+
+:class:`repro.core.compact.CompactSTT` is the one byte-class compaction
+in the tree: a 256-entry byte→class LUT (class 0 is every byte no
+pattern uses) and one table column per class.  These tests pin its
+class partition and exhaustive equality with the dense STT on the
+paper dictionary, prose and DNA.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.compress.alphabet import ClassCompressedDFA, compute_classes
 from repro.core import DFA, PatternSet
-from repro.errors import ReproError
+from repro.core.alphabet import ALPHABET_SIZE
+from repro.core.compact import ByteClassMap, CompactSTT
 
 
 class TestComputeClasses:
     def test_paper_dictionary_classes(self, paper_dfa):
-        classes = compute_classes(paper_dfa)
+        classes = paper_dfa.compact_stt().class_map
         # {he, she, his, hers}: distinguished bytes are h,e,s,i,r plus
         # the "everything else" class -> exactly 6 classes.
         assert classes.n_classes == 6
-        letters = {b"h": None, b"e": None, b"s": None, b"i": None, b"r": None}
-        ids = {classes.class_of[ord(k)] for k in "hesir"}
+        ids = {int(classes.class_of[ord(k)]) for k in "hesir"}
         assert len(ids) == 5  # each special letter its own class
 
     def test_default_class_holds_the_rest(self, paper_dfa):
-        classes = compute_classes(paper_dfa)
+        classes = paper_dfa.compact_stt().class_map
         other = classes.class_of[ord("z")]
         assert classes.class_of[ord("q")] == other
         assert classes.class_of[0] == other
-        assert classes.members(other).size == 256 - 5
+        assert np.count_nonzero(classes.class_of == other) == 256 - 5
 
     def test_members_roundtrip(self, paper_dfa):
-        classes = compute_classes(paper_dfa)
-        total = sum(
-            classes.members(c).size for c in range(classes.n_classes)
-        )
-        assert total == 256
+        classes = paper_dfa.compact_stt().class_map
+        sizes = np.bincount(classes.class_of, minlength=classes.n_classes)
+        assert sizes.size == classes.n_classes
+        assert sizes.sum() == ALPHABET_SIZE
 
-    def test_members_out_of_range(self, paper_dfa):
-        with pytest.raises(ReproError):
-            compute_classes(paper_dfa).members(999)
-
-    def test_classes_deterministic(self, paper_dfa):
-        a = compute_classes(paper_dfa)
-        b = compute_classes(paper_dfa)
+    def test_classes_deterministic(self, paper_patterns):
+        a = ByteClassMap.from_patterns(paper_patterns)
+        b = ByteClassMap.from_patterns(paper_patterns)
         assert np.array_equal(a.class_of, b.class_of)
 
 
 class TestClassCompressedDfa:
     def test_exhaustive_equality(self, paper_dfa, english_dfa):
-        assert ClassCompressedDFA.from_dfa(paper_dfa).verify_against(paper_dfa)
-        assert ClassCompressedDFA.from_dfa(english_dfa).verify_against(
-            english_dfa
-        )
+        assert CompactSTT.from_dfa(paper_dfa).verify_against(paper_dfa)
+        assert CompactSTT.from_dfa(english_dfa).verify_against(english_dfa)
 
     def test_scalar_delta(self, paper_dfa):
-        c = ClassCompressedDFA.from_dfa(paper_dfa)
+        c = paper_dfa.compact_stt()
         for s in range(paper_dfa.n_states):
             for a in (ord("h"), ord("e"), ord("z"), 0, 255):
-                assert c.delta(s, a) == paper_dfa.delta(s, a)
+                got = c.next_states(np.array([s]), np.array([a]))[0]
+                assert got == paper_dfa.delta(s, a)
 
     def test_symbol_range_check(self, paper_dfa):
-        c = ClassCompressedDFA.from_dfa(paper_dfa)
-        with pytest.raises(ReproError):
+        c = paper_dfa.compact_stt()
+        with pytest.raises(IndexError):
             c.next_states(np.array([0]), np.array([256]))
 
     def test_compression_ratio_prose(self, english_dfa):
-        c = ClassCompressedDFA.from_dfa(english_dfa)
+        c = english_dfa.compact_stt()
         # 30 English words: ~17 distinct letters + 1 default class.
         assert c.n_classes < 30
-        assert c.stats().ratio > 8.0
+        assert c.dense_bytes() / c.compact_bytes() > 8.0
 
     def test_dna_compresses_to_five_classes(self):
         from repro.workload.dna import motif_dictionary
 
         dfa = DFA.build(motif_dictionary(200, seed=3))
-        c = ClassCompressedDFA.from_dfa(dfa)
+        c = dfa.compact_stt()
         assert c.n_classes == 5  # A, C, G, T + everything else
-        # At scale the fixed class map amortizes: ~256/5 column ratio.
-        assert c.stats().ratio > 30.0
+        assert c.dense_bytes() / c.compact_bytes() > 30.0
 
     def test_match_flags_preserved(self, paper_dfa):
-        c = ClassCompressedDFA.from_dfa(paper_dfa)
+        # The fused gather carries the target state's match flag at the
+        # same index as the transition: flag_flat[i] == flags[col_flat[i]].
+        c = paper_dfa.compact_stt()
+        col_flat, _, flag_flat = c.fused_tables(
+            paper_dfa.stt.match_flags, np.int32
+        )
         assert np.array_equal(
-            c.match_flags.astype(np.int32), paper_dfa.stt.match_flags
+            flag_flat, paper_dfa.stt.match_flags[col_flat] != 0
         )
 
 
@@ -94,4 +98,4 @@ class TestClassCompressedDfa:
 )
 def test_property_class_compression_exact(patterns):
     dfa = DFA.build(PatternSet.from_strings(patterns))
-    assert ClassCompressedDFA.from_dfa(dfa).verify_against(dfa)
+    assert CompactSTT.from_dfa(dfa).verify_against(dfa)

@@ -5,7 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import DFA, AhoCorasickAutomaton, PatternSet
+from repro.core import DFA, AhoCorasickAutomaton, PatternSet, encode, plan_chunks
+from repro.core.alphabet import STATE_DTYPE
+from repro.core.chunking import build_windows, required_overlap
+from repro.core.lockstep import LockstepTrace
 
 try:
     from hypothesis import HealthCheck, settings
@@ -67,3 +70,33 @@ def random_text(rng: np.random.Generator, n: int, alphabet: bytes = b"abcdefgh "
     """Uniform random text over a small alphabet (dense match rates)."""
     idx = rng.integers(0, len(alphabet), size=n)
     return bytes(bytearray(alphabet[i] for i in idx))
+
+
+def lockstep_oracle(dfa: DFA, data, chunk_len: int, overlap: int = None):
+    """Test-local lockstep run, independent of the tiled engine.
+
+    Plans the chunks, builds the step-major window matrix, and advances
+    every lane one byte per step with a plain dense lookup
+    ``dfa.stt.next_states[state, windows[j]]``.  Returns ``(plan,
+    windows, trace)``; the engine under test must reproduce ``trace``.
+    """
+    data = encode(data)
+    if overlap is None:
+        overlap = required_overlap(dfa.patterns.max_length)
+    plan = plan_chunks(data.size, chunk_len, overlap)
+    windows = build_windows(data, plan)
+    states_after = np.empty(windows.shape, dtype=STATE_DTYPE)
+    state = np.zeros(plan.n_chunks, dtype=np.int64)
+    for j in range(plan.window_len):
+        state = dfa.stt.next_states[state, windows[j]]
+        states_after[j] = state
+    steps = np.arange(plan.window_len, dtype=np.int64)
+    valid = plan.starts[None, :] + steps[:, None] < plan.n
+    trace = LockstepTrace(states_after=states_after, valid=valid, plan=plan)
+    return plan, windows, trace
+
+
+def oracle_raw_hits(dfa: DFA, trace: LockstepTrace) -> int:
+    """Match-state cells of *trace* inside the input, before ownership."""
+    flags = np.asarray(dfa.stt.match_flags) != 0
+    return int(np.count_nonzero(flags[trace.states_after] & trace.valid))

@@ -28,7 +28,7 @@ from repro.core.jit import (
     numba_available,
 )
 from repro.core.multicore import scan_multicore
-from repro.core.serial import match_serial_python, scan_serial
+from repro.core.serial import match_serial, match_serial_python
 from repro.core.streaming import StreamMatcher
 from repro.core.tiled import GatherKernel, scan_tiled
 
@@ -97,11 +97,11 @@ class TestFallbackIdentity:
         self, english_dfa, rng, monkeypatch
     ):
         text = random_text(rng, 20_000)
-        baseline = scan_serial(english_dfa, text).as_pairs()
+        baseline = match_serial(english_dfa, text).as_pairs()
 
         monkeypatch.setenv(JIT_ENV_VAR, "1")
         monkeypatch.setattr(jit, "_numba_ok", False)
-        assert scan_serial(english_dfa, text).as_pairs() == baseline
+        assert match_serial(english_dfa, text).as_pairs() == baseline
         assert (
             scan_multicore(english_dfa, text, workers=3).matches.as_pairs()
             == baseline
@@ -126,28 +126,43 @@ class TestFallbackIdentity:
 class TestCompiledIdentity:
     """numba leg: compiled kernels byte-identical to the NumPy path."""
 
-    def test_gather_kernel_step_dense_and_compact(self, english_dfa, monkeypatch):
+    def test_gather_kernels_equal_dense_lookup(self, english_dfa, monkeypatch):
+        """Compiled fused and row-major gathers ≡ ``next_states[s, b]``."""
         rng = np.random.default_rng(42)
         n_threads = 97
         state0 = rng.integers(0, english_dfa.n_states, size=n_threads)
         symbols = rng.integers(0, 256, size=n_threads).astype(np.uint8)
-
-        def one_step(table):
-            k = GatherKernel(english_dfa, table)
-            k.alloc(n_threads)
-            state = state0.astype(np.int64)
-            out = np.empty(n_threads, dtype=np.int32)
-            k.step(state, symbols, out)
-            return state.copy(), out.copy()
-
+        want = english_dfa.stt.next_states[state0, symbols]
         compact = english_dfa.compact_stt()
-        ref = {t: one_step(t) for t in (None, compact)}
         monkeypatch.setenv(JIT_ENV_VAR, "1")
         assert jit_enabled()
-        for t in (None, compact):
-            got_state, got_out = one_step(t)
-            np.testing.assert_array_equal(got_state, ref[t][0])
-            np.testing.assert_array_equal(got_out, ref[t][1])
+        kernels = jit_kernels()
+
+        for table in (None, compact):
+            k = GatherKernel(english_dfa, table)
+            k.alloc(n_threads)
+            assert k.ensure_fused()
+            out = np.empty(n_threads, dtype=k.row_dtype)
+            hit = np.empty(n_threads, dtype=np.bool_)
+            k.step_fused(state0.astype(np.int64), symbols, out, hit)
+            np.testing.assert_array_equal(out, want)
+            np.testing.assert_array_equal(
+                hit, english_dfa.stt.match_flags[want] != 0
+            )
+
+        # Row-major kernels, read by the pinned pre-fusion engine.
+        state = state0.astype(np.int64)
+        out = np.empty(n_threads, dtype=np.int32)
+        flat = english_dfa.stt.table.reshape(-1)
+        ncols = english_dfa.stt.table.shape[1]
+        kernels["gather_step_dense"](flat, ncols, state, symbols, out)
+        np.testing.assert_array_equal(out, want)
+        np.testing.assert_array_equal(state, want)
+        state = state0.astype(np.int64)
+        kernels["gather_step_compact"](
+            compact.flat, compact.n_classes, compact.class_of, state, symbols, out
+        )
+        np.testing.assert_array_equal(out, want)
 
     def test_scan_tiled_byte_identical(self, english_dfa, rng, monkeypatch):
         from repro.core.alphabet import encode
@@ -183,4 +198,4 @@ class TestCompiledIdentity:
         dfa = DFA.build(PatternSet.from_strings(["ab", "bab", "abba"]))
         data = b"abbababbab" * 50
         monkeypatch.setenv(JIT_ENV_VAR, "1")
-        assert scan_serial(dfa, data).as_pairs() == match_serial_python(dfa, data)
+        assert match_serial(dfa, data).as_pairs() == match_serial_python(dfa, data)

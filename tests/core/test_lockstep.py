@@ -1,20 +1,28 @@
-"""Unit tests for the lockstep DFA engine and its traces."""
+"""Unit tests for lockstep traces and the tiled engine's match extraction.
+
+Traces come from the test-local oracle (``tests.conftest.
+lockstep_oracle``: one dense ``next_states`` lookup per step over
+``build_windows``); extraction is :func:`repro.core.tiled.scan_tiled`
+on the same geometry, checked against hand-derived expectations.
+"""
 
 import numpy as np
 
-from repro.core import encode, plan_chunks
-from repro.core.chunking import build_windows
-from repro.core.lockstep import extract_matches, run_dfa_lockstep
+from repro.core import encode
+from repro.core.tiled import scan_tiled
 from repro.core.trie import ROOT
+
+from tests.conftest import lockstep_oracle
 
 
 def run(dfa, text: bytes, chunk_len: int, overlap: int = None):
-    if overlap is None:
-        overlap = dfa.patterns.max_length - 1
-    data = encode(text)
-    plan = plan_chunks(data.size, chunk_len, overlap)
-    windows = build_windows(data, plan)
-    return plan, run_dfa_lockstep(dfa, windows, plan)
+    plan, _, trace = lockstep_oracle(dfa, text, chunk_len, overlap)
+    return plan, trace
+
+
+def extract(dfa, text: bytes, chunk_len: int):
+    res = scan_tiled(dfa, encode(text), chunk_len=chunk_len)
+    return res.matches, res.raw_hits
 
 
 class TestTraceGeometry:
@@ -64,23 +72,18 @@ class TestVisitHistogram:
 
 class TestExtractMatches:
     def test_paper_example(self, paper_dfa):
-        _, trace = run(paper_dfa, b"ushers", 3)
-        matches, raw = extract_matches(paper_dfa, trace)
+        matches, raw = extract(paper_dfa, b"ushers", 3)
         assert matches.as_pairs() == [(3, 0), (3, 1), (5, 3)]
         assert raw >= 2  # at least the two matched states, pre-dedup
 
     def test_no_matches(self, paper_dfa):
-        _, trace = run(paper_dfa, b"qqqq", 2)
-        matches, raw = extract_matches(paper_dfa, trace)
+        matches, raw = extract(paper_dfa, b"qqqq", 2)
         assert len(matches) == 0 and raw == 0
 
     def test_raw_hits_count_overlap_duplicates(self, paper_dfa):
-        # chunk 1 with overlap 3: "he" at positions 0-1 is seen by
-        # chunk 0 (owner) AND would be seen again scanning from pos 1?
-        # Use text where a match is fully inside the overlap of the
-        # previous chunk to force a duplicate raw hit.
-        _, trace = run(paper_dfa, b"xhey", 2)  # chunks: xh|ey, windows 5
-        matches, raw = extract_matches(paper_dfa, trace)
+        # chunks: xh|ey, windows 5.  Thread 1 starts at 'e', so "he"
+        # is seen once, by its owner.
+        matches, raw = extract(paper_dfa, b"xhey", 2)
         assert matches.as_pairs() == [(2, 0)]
         assert raw == 1  # thread 1 starts at 'e', cannot see 'he'
 
@@ -88,7 +91,17 @@ class TestExtractMatches:
         # "hehe": chunk 0 owns [0,2), chunk 1 owns [2,4).
         # Window of chunk 0 = positions 0..4 -> sees both matches;
         # ownership keeps only the first for thread 0.
-        _, trace = run(paper_dfa, b"hehe", 2)
-        matches, raw = extract_matches(paper_dfa, trace)
+        matches, raw = extract(paper_dfa, b"hehe", 2)
         assert matches.as_pairs() == [(1, 0), (3, 0)]
         assert raw == 3  # thread 0 saw 2 hits, thread 1 saw 1
+
+    def test_carry_in_lane_owns_the_seam_match(self, paper_dfa):
+        # Lane 0 seeded with the state after "sh" completes "she" and
+        # "he" at byte 0 of this input; their starts predate the
+        # input, and lane 0 has no lower ownership bound.
+        delta = paper_dfa.stt.next_states
+        carry = int(delta[delta[ROOT, ord("s")], ord("h")])
+        res = scan_tiled(
+            paper_dfa, encode(b"ers he"), chunk_len=2, carry_in=carry
+        )
+        assert res.matches.as_pairs() == [(0, 0), (0, 1), (2, 3), (5, 0)]

@@ -1,4 +1,4 @@
-"""Differential tests: scan_multicore is byte-identical to scan_serial.
+"""Differential tests: scan_multicore is byte-identical to match_serial.
 
 The multicore matcher splits the input into one slab per worker with
 the ``+X`` overlap rule and keeps only matches *starting* inside the
@@ -22,12 +22,11 @@ from repro.core import DFA, PatternSet
 from repro.core.chunking import required_overlap
 from repro.core.multicore import (
     DEFAULT_MC_CHUNK,
-    MultiCoreMatcher,
     MulticoreMeasurement,
     measure_multicore,
     scan_multicore,
 )
-from repro.core.serial import match_serial_python, scan_serial
+from repro.core.serial import match_serial, match_serial_python
 from repro.errors import ChunkingError
 
 from tests.conftest import random_text
@@ -38,7 +37,7 @@ def pairs_mc(dfa, data, **kw):
 
 
 def pairs_serial(dfa, data):
-    return scan_serial(dfa, data).as_pairs()
+    return match_serial(dfa, data).as_pairs()
 
 
 class TestDifferential:
@@ -146,14 +145,6 @@ class TestShortLastSlab:
 
 
 class TestApiAndStats:
-    def test_matcher_wrapper_equals_function(self, english_dfa, rng):
-        text = random_text(rng, 9000)
-        m = MultiCoreMatcher(english_dfa, workers=3)
-        assert m.scan(text).as_pairs() == pairs_mc(english_dfa, text, workers=3)
-        res = m.scan_result(text)
-        assert res.workers == 3
-        assert res.matches.as_pairs() == m.scan(text).as_pairs()
-
     def test_worker_stats_partition_the_input(self, english_dfa, rng):
         text = random_text(rng, 10_000)
         res = scan_multicore(english_dfa, text, workers=4)
@@ -180,8 +171,6 @@ class TestApiAndStats:
     def test_negative_workers_rejected(self, paper_dfa):
         with pytest.raises(ChunkingError):
             scan_multicore(paper_dfa, b"x", workers=-1)
-        with pytest.raises(ChunkingError):
-            MultiCoreMatcher(paper_dfa, workers=-2)
 
     def test_compact_and_dense_identical(self, english_dfa, rng):
         text = random_text(rng, 8000)

@@ -1,25 +1,23 @@
-"""Differential tests: tiled streaming engine ≡ monolithic lockstep.
+"""Differential tests: tiled engine ≡ a whole-window lockstep oracle.
 
 The tiled engine must be a pure implementation change — every
 observable (matches, raw hit count, state traces, visit histograms) is
-byte-identical to the old trace-the-whole-window path for *any* tile
+byte-identical to tracing the whole window at once, for *any* tile
 size, including tile_len=1 (a seam between every step) and tile sizes
-that straddle chunk-ownership boundaries.  The monolithic reference
-(build_windows + run_dfa_lockstep + extract_matches) is kept alive
-precisely to anchor these tests.
+that straddle chunk-ownership boundaries.  The reference is
+test-local: ``lockstep_oracle`` (one dense ``next_states`` lookup per
+step over ``build_windows``) for traces and raw hits, and the Fig. 2
+serial loop (``match_serial_python``) for matches.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import DFA, PatternSet, encode, plan_chunks
-from repro.core.chunking import build_windows, required_overlap
-from repro.core.lockstep import (
-    TraceRecorder,
-    extract_matches,
-    run_dfa_lockstep,
-)
+from repro.core import DFA, MatchResult, PatternSet, encode, plan_chunks
+from repro.core.chunking import required_overlap
+from repro.core.lockstep import TraceRecorder
+from repro.core.serial import match_serial_python, serial_chunk_len
 from repro.core.streaming import StreamMatcher
 from repro.core.tiled import (
     GatherKernel,
@@ -27,17 +25,16 @@ from repro.core.tiled import (
     iter_dfa_tiles,
     scan_tiled,
 )
+from repro.errors import ChunkingError
+
+from tests.conftest import lockstep_oracle, oracle_raw_hits
 
 
 def monolithic(dfa, data, chunk_len, overlap=None):
-    """The pre-tiling reference pipeline."""
-    if overlap is None:
-        overlap = required_overlap(dfa.patterns.max_length)
-    plan = plan_chunks(data.size, chunk_len, overlap)
-    windows = build_windows(data, plan)
-    trace = run_dfa_lockstep(dfa, windows, plan)
-    matches, raw_hits = extract_matches(dfa, trace)
-    return plan, windows, trace, matches, raw_hits
+    """Whole-window reference: oracle trace, raw hits, serial matches."""
+    plan, windows, trace = lockstep_oracle(dfa, data, chunk_len, overlap)
+    matches = MatchResult.from_pairs(match_serial_python(dfa, data))
+    return plan, windows, trace, matches, oracle_raw_hits(dfa, trace)
 
 
 @pytest.fixture(scope="module")
@@ -101,13 +98,30 @@ class TestTiledEqualsMonolithic:
         assert got.bytes_scanned == 0
 
     def test_gather_kernel_rejects_bad_shapes(self, paper_case):
+        # step() is the adapter path; the fused tables step via step_fused.
         dfa, _ = paper_case
-        g = GatherKernel(dfa, None)
+        g = GatherKernel(dfa, dfa.gather_table("banded"))
         g.alloc(4)
         state = np.zeros(4, dtype=np.int64)
         out = np.empty(4, dtype=np.int32)
         g.step(state, np.zeros(4, dtype=np.uint8), out)
         assert np.array_equal(out, np.zeros(4, dtype=np.int32))
+
+    def test_irregular_plan_rejected(self, paper_case):
+        dfa, data = paper_case
+        plan = plan_chunks(data.size, 64, 3)
+        starts = plan.starts.copy()
+        starts[1] += 1
+        bad = type(plan)(
+            n=plan.n,
+            chunk_len=plan.chunk_len,
+            overlap=plan.overlap,
+            starts=starts,
+            owned_ends=plan.owned_ends,
+            window_len=plan.window_len,
+        )
+        with pytest.raises(ChunkingError, match="stride"):
+            next(iter_dfa_tiles(dfa, data, bad))
 
 
 class TestSeams:
@@ -176,31 +190,39 @@ def test_tiled_equals_monolithic_property(case, compact):
 )
 def test_streaming_split_feeds_equal_whole_scan(case, cuts):
     """Feeds split anywhere — including mid-pattern — match a one-shot
-    scan, on both the small and the chunk-parallel feed paths."""
+    scan, on both the small and the chunk-parallel feed paths.
+
+    Besides the drawn cuts, the text is cut where a feed is exactly
+    the ``serial_chunk_len`` floor ``4 (X + 1)`` long (one lane) and
+    where the next feed is one byte longer (two lanes), and inside the
+    first occurrence of a multi-byte pattern.
+    """
     import repro.core.streaming as streaming
 
     patterns, text, _, _ = case
     dfa = DFA.build(patterns)
     data = encode(text)
     n = int(data.size)
-    bounds = sorted({min(c, n) for c in cuts} | {0, n})
+    want = match_serial_python(dfa, data)
+    overlap = required_overlap(dfa.patterns.max_length)
+    floor = 4 * (overlap + 1)
+    # A floor-long feed is one lane; one byte more makes two.
+    assert serial_chunk_len(floor, overlap) == floor
+    assert serial_chunk_len(floor + 1, overlap) == floor
+    forced = {floor, 2 * floor + 1}
+    lengths = dfa.pattern_lengths
+    inside = [e - int(lengths[p]) + 2 for e, p in want if lengths[p] > 1]
+    forced |= set(inside[:1])
+    bounds = sorted({min(c, n) for c in set(cuts) | forced} | {0, n})
     # Force the parallel path so tiny feeds exercise it too.
-    saved = streaming.VECTOR_THRESHOLD, streaming.PARALLEL_CHUNK
-    streaming.VECTOR_THRESHOLD, streaming.PARALLEL_CHUNK = 4, 16
+    saved = streaming.VECTOR_THRESHOLD
+    streaming.VECTOR_THRESHOLD = 4
     try:
         m = StreamMatcher(dfa)
         pairs = []
         for lo, hi in zip(bounds, bounds[1:]):
             pairs.extend(m.feed(data[lo:hi]))
     finally:
-        streaming.VECTOR_THRESHOLD, streaming.PARALLEL_CHUNK = saved
-    from repro.core import match_serial
-
-    want = match_serial(dfa, text) if n else []
-    want_pairs = (
-        sorted(zip(want.ends.tolist(), want.pattern_ids.tolist()))
-        if n
-        else []
-    )
-    assert sorted(pairs) == want_pairs
+        streaming.VECTOR_THRESHOLD = saved
+    assert sorted(pairs) == want
     assert m.position == n

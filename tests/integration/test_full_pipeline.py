@@ -12,7 +12,7 @@ import pytest
 from repro import Matcher
 from repro.analysis import event_report, figure_chart, trend_summary
 from repro.bench import ExperimentRunner, run_figure
-from repro.compress import BandedSTT, BitmapDeltaSTT, ClassCompressedDFA
+from repro.compress import BandedSTT, BitmapDeltaSTT
 from repro.core import (
     DFA,
     AhoCorasickAutomaton,
@@ -23,6 +23,7 @@ from repro.core import (
     scan_stream,
     validate_dfa,
 )
+from repro.core.compact import CompactSTT
 from repro.gpu import Device
 from repro.kernels import (
     run_global_kernel,
@@ -70,7 +71,7 @@ class TestFullPipeline:
     def test_all_compressed_forms_exact(self, pipeline):
         _, _, _, ac, dfa = pipeline
         assert BandedSTT.from_stt(dfa.stt).verify_against(dfa.stt)
-        assert ClassCompressedDFA.from_dfa(dfa).verify_against(dfa)
+        assert CompactSTT.from_dfa(dfa).verify_against(dfa)
         assert BitmapDeltaSTT.from_automaton(ac).verify_against(dfa, sample=800)
 
     def test_matcher_api_over_same_dictionary(self, pipeline):

@@ -3,9 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import DFA, PatternSet, encode, plan_chunks
-from repro.core.chunking import build_windows
-from repro.core.lockstep import run_dfa_lockstep
+from repro.core import DFA, PatternSet
 from repro.errors import MemoryModelError
 from repro.gpu import gtx285
 from repro.kernels.base import (
@@ -15,12 +13,12 @@ from repro.kernels.base import (
     texture_traffic,
 )
 
+from tests.conftest import lockstep_oracle
+
 
 def traced(dfa, text: bytes, chunk=32):
-    data = encode(text)
-    plan = plan_chunks(data.size, chunk, dfa.patterns.max_length - 1)
-    windows = build_windows(data, plan)
-    return run_dfa_lockstep(dfa, windows, plan), windows
+    _, windows, trace = lockstep_oracle(dfa, text, chunk)
+    return trace, windows
 
 
 class TestHotLineSet:

@@ -63,6 +63,35 @@ class TestScanning:
         assert len(m.scan(empty)) == 0
         assert m.findall(empty) == []
         assert m.count(empty) == 0
+        assert m.find_first(empty) is None
+        assert m.stream().feed(empty) == []
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize(
+        "patterns, text, case_insensitive",
+        [
+            (PAPER, "h", False),  # 1 byte, a pattern prefix
+            (PAPER, "s", False),
+            (["hers"], "her", False),  # shorter than the pattern
+            ([b"\x00", b"\x00\x00a"], b"\x00", False),  # NUL dictionary
+            ([b"\x00", b"\x00\x00a"], b"x\x00\x00a\x00", False),
+            (PAPER, "SHE he", True),
+            (["he", "She"], "S", True),
+        ],
+        ids=[
+            "1byte", "1byte-nomatch", "short", "nul-1byte", "nul", "ci",
+            "ci-1byte",
+        ],
+    )
+    def test_degenerate_inputs_agree(
+        self, backend, patterns, text, case_insensitive
+    ):
+        """findall, find_first and stream() agree with the serial scan."""
+        m = Matcher(patterns, backend=backend, case_insensitive=case_insensitive)
+        want = Matcher(patterns, case_insensitive=case_insensitive).findall(text)
+        assert m.findall(text) == want
+        assert m.find_first(text) == min(want, default=None)
+        assert sorted(m.stream().feed(text)) == m.scan(text).as_pairs()
 
     def test_serial_mt_workers_thread_through(self):
         # Long enough to split into real slabs at every worker count.
@@ -118,6 +147,19 @@ class TestCaseInsensitive:
         assert m.count(arr) == 1
         # The caller's array is untouched (fold copies).
         assert bytes(arr) == b"xxABCxx"
+
+    def test_stream_folds_like_scan(self):
+        # Regression: stream() skipped the case fold, so feeds found 1
+        # of the 3 matches findall reports.
+        m = Matcher(["he", "She"], case_insensitive=True)
+        assert len(m.findall("SHE he")) == 3
+        assert sorted(m.stream().feed("SHE he")) == m.scan("SHE he").as_pairs()
+        # Feeds large enough for the tiled path fold too.
+        big = b"SHE hE " * 300
+        s = m.stream()
+        got = s.feed(big[:1500]) + s.feed(big[1500:])
+        assert sorted(got) == m.scan(big).as_pairs()
+        assert len(got) == 900
 
     def test_all_scan_paths_byte_exact(self):
         # Regression: scan_with_timing skipped the case fold, so a
@@ -264,6 +306,38 @@ class TestFindFirstProperty:
             m = Matcher(PAPER)
             expected = min(m.findall(text), default=None)
             assert m.find_first(text, chunk=chunk) == expected
+
+        check()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_property_entry_points_agree(self, backend):
+        """find_first == min(findall) and split stream() feeds == scan,
+        on every backend, folded or not, across the tiled feed size."""
+        from hypothesis import given, settings, strategies as st
+
+        matchers = {
+            ci: Matcher(PAPER, backend=backend, case_insensitive=ci)
+            for ci in (False, True)
+        }
+
+        @settings(max_examples=25, deadline=None)
+        @given(
+            st.text(alphabet="hers uHIS", min_size=0, max_size=200),
+            st.sampled_from([1, 8]),
+            st.lists(st.integers(min_value=0, max_value=1600), max_size=5),
+            st.booleans(),
+        )
+        def check(text, reps, cuts, ci):
+            m = matchers[ci]
+            text = text * reps
+            assert m.find_first(text) == min(m.findall(text), default=None)
+            n = len(text)
+            bounds = sorted({min(c, n) for c in cuts} | {0, n})
+            stream = m.stream()
+            pairs = []
+            for lo, hi in zip(bounds, bounds[1:]):
+                pairs.extend(stream.feed(text[lo:hi]))
+            assert sorted(pairs) == m.scan(text).as_pairs()
 
         check()
 
